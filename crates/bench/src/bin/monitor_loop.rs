@@ -15,11 +15,12 @@
 //! fit back under the drift threshold — and merges a `monitor_loop`
 //! section into `BENCH_serve.json` (preserving `serve_load`'s report)
 //! plus a CSV episode series. `--smoke` shortens the tail for CI;
-//! `--trace <out.json>` writes a chrome-trace profile of the run.
+//! `--trace <out.json>` writes a chrome-trace profile of the run;
+//! `--out-dir <dir>` writes the report and the CSV into `<dir>` instead
+//! of the checkout the binary was built from.
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -330,7 +331,7 @@ fn main() {
         "router_restarts": router_report.restarts,
         "router_failovers": router_report.failovers,
     });
-    let out = repo_root().join("BENCH_serve.json");
+    let out = bench::bench_dir().join("BENCH_serve.json");
     let merged = merge_into_bench_json(&out, "monitor_loop", payload);
     std::fs::write(&out, merged).expect("write BENCH_serve.json");
     println!("wrote {} (monitor_loop section)", out.display());
@@ -412,8 +413,4 @@ fn validate_trace(path: &std::path::Path, ticks: u64) {
         "trace:      {} events ({tick_spans} monitor.tick, {step_spans} recharacterize steps)",
         events.len(),
     );
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

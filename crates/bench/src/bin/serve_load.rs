@@ -4,8 +4,10 @@
 //! datastore, loads it into a `serve::ModelRegistry`, then fires a
 //! synthetic request stream at the engine. Compares throughput against
 //! the single-thread sequential baseline and the analytical platform
-//! model, and writes the numbers to `BENCH_serve.json` (+ a CSV series
-//! in `target/experiments/`).
+//! model, and writes the numbers to `BENCH_serve.json` at the root of
+//! the checkout it was built from (+ a CSV series in
+//! `target/experiments/`). `--out-dir <dir>` writes both into `<dir>`
+//! instead, so a copied binary never overwrites the checkout's report.
 //!
 //! `--backend reference|batched|both` picks the `FrozenPlan` backend.
 //! `both` (the default) serves the stream twice — first on the scalar
@@ -559,7 +561,7 @@ fn main() {
         "metrics": report,
         "model_fit": fit,
     });
-    let out = repo_root().join("BENCH_serve.json");
+    let out = bench::bench_dir().join("BENCH_serve.json");
     // Carry a monitor_loop section forward if that bench wrote first, so
     // the two publishers can run in either order.
     let mut json = json;
@@ -943,10 +945,6 @@ fn serve_sharded(
         shed,
         behind_max_us,
     }
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Asserts that span-wrapped `Network::predict` with no collector

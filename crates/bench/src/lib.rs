@@ -27,13 +27,47 @@ pub fn pick<T>(quick: T, full: T) -> T {
     }
 }
 
-/// The directory experiment outputs (CSV series) are written to:
-/// `target/experiments/`.
-pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/experiments");
-    std::fs::create_dir_all(&dir).expect("create experiments dir");
+/// `--out-dir <dir>` from the process arguments: the directory a
+/// harness writes its outputs to instead of the checkout it was built
+/// from.
+fn out_dir_arg() -> Option<PathBuf> {
+    let mut args = std::env::args();
+    while let Some(arg) = args.next() {
+        if arg == "--out-dir" {
+            return args.next().map(PathBuf::from);
+        }
+    }
+    None
+}
+
+/// Root of the checkout this binary was built from (fixed at compile
+/// time): the default output location.
+fn build_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Creates `dir` and returns it.
+///
+/// # Panics
+///
+/// Panics on I/O failure (harness binaries want loud failures).
+fn ensure_dir(dir: PathBuf) -> PathBuf {
+    std::fs::create_dir_all(&dir).expect("create output dir");
     dir
+}
+
+/// The directory experiment outputs (CSV series) are written to:
+/// `--out-dir` when given, else `target/experiments/` of the build's
+/// checkout.
+pub fn experiments_dir() -> PathBuf {
+    ensure_dir(out_dir_arg().unwrap_or_else(|| build_root().join("target/experiments")))
+}
+
+/// The directory `BENCH_*.json` reports are written to: `--out-dir`
+/// when given, else the root of the build's checkout, where the
+/// committed reports live.
+pub fn bench_dir() -> PathBuf {
+    ensure_dir(out_dir_arg().unwrap_or_else(build_root))
 }
 
 /// Writes a CSV file into [`experiments_dir`] and returns its path.

@@ -36,7 +36,7 @@ use faultsim::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 use crate::optim::{Optimizer, OptimizerState};
-use crate::train::{Dataset, History, TrainConfig};
+use crate::train::{Batch, Dataset, History, TrainConfig};
 use crate::{Network, NeuralError};
 
 /// Divergence-guard and checkpoint policy.
@@ -390,6 +390,7 @@ impl GuardedTrainer {
         restore_best: bool,
     ) -> Result<GuardedOutcome, NeuralError> {
         while state.epochs_done < until {
+            let _epoch_span = obs::span!("train.epoch");
             if state.epochs_done.is_multiple_of(self.guard.checkpoint_every) {
                 state.checkpoint = self.snapshot(network, &state);
                 state.checkpoints_taken += 1;
@@ -413,7 +414,10 @@ impl GuardedTrainer {
 
             let mut stop_early = false;
             if let Some(val) = validation {
-                let v = val.evaluate(network, self.config.loss);
+                let v = {
+                    let _validate_span = obs::span!("train.validate");
+                    val.evaluate(network, self.config.loss)
+                };
                 if !v.is_finite() {
                     // The pushed train loss belongs to the diverged epoch;
                     // rollback restores the checkpointed history anyway.
@@ -470,28 +474,25 @@ impl GuardedTrainer {
         train: &Dataset,
         epoch: usize,
     ) -> Result<f32, EpochDivergence> {
-        let data = if self.config.shuffle {
-            train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-        } else {
-            train.clone()
-        };
+        let order = train.epoch_order(
+            self.config.shuffle,
+            self.config.seed.wrapping_add(epoch as u64),
+        );
+        let mut batch = Batch::default();
         let mut epoch_loss = 0.0f64;
-        let mut processed = 0usize;
-        let mut batch_idx = 0usize;
-        while processed < data.len() {
-            let end = (processed + self.config.batch_size).min(data.len());
-            let poisoned = self
+        for (batch_idx, indices) in order.chunks(self.config.batch_size.max(1)).enumerate() {
+            let _batch_span = obs::span!("train.batch");
+            train.gather(indices, &mut batch);
+            if self
                 .plan
                 .as_deref()
-                .is_some_and(|p| p.poison_batch(epoch, batch_idx));
+                .is_some_and(|p| p.poison_batch(epoch, batch_idx))
+            {
+                batch.inputs[..train.input_width()].fill(f32::NAN);
+            }
             network.zero_grads();
-            for i in processed..end {
-                let value = if poisoned && i == processed {
-                    let nan_input = vec![f32::NAN; data.input_width()];
-                    network.train_step(&nan_input, &data.targets()[i], self.config.loss)
-                } else {
-                    network.train_step(&data.inputs()[i], &data.targets()[i], self.config.loss)
-                };
+            let losses = network.train_batch(&batch.inputs, &batch.targets, self.config.loss);
+            for &value in losses {
                 if !value.is_finite() {
                     return Err(EpochDivergence {
                         batch: batch_idx,
@@ -508,6 +509,7 @@ impl GuardedTrainer {
                 }
                 epoch_loss += f64::from(value);
             }
+            let _optimizer_span = obs::span!("train.optimizer");
             if let Some(limit) = self.guard.max_grad_norm {
                 let norm = network.grad_norm();
                 if !norm.is_finite() || norm > limit {
@@ -517,11 +519,9 @@ impl GuardedTrainer {
                     });
                 }
             }
-            network.apply_gradients(optimizer.as_mut(), end - processed);
-            processed = end;
-            batch_idx += 1;
+            network.apply_gradients(optimizer.as_mut(), indices.len());
         }
-        Ok((epoch_loss / data.len() as f64) as f32)
+        Ok((epoch_loss / train.len() as f64) as f32)
     }
 
     fn rollback(

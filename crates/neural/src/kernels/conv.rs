@@ -68,6 +68,32 @@ pub(crate) fn permute_sweep_order(
     out
 }
 
+/// Length of the `col` scratch [`conv1d`] needs for one layer: the
+/// residue-deinterleave region (strided convs only), plus a zero-padded
+/// `[k_len][PANEL]` pack panel for layers narrower than a tile, and at
+/// least `filters`, because the channelwise-softmax finish reuses `col`
+/// as its per-position gather buffer.
+pub(crate) fn conv1d_col_len(
+    in_channels: usize,
+    in_len: usize,
+    filters: usize,
+    kernel: usize,
+    stride: usize,
+    out_len: usize,
+) -> usize {
+    let deint = if stride > 1 {
+        in_channels * stride * in_len.div_ceil(stride)
+    } else {
+        0
+    };
+    let panel = if out_len < PANEL {
+        in_channels * kernel * PANEL
+    } else {
+        0
+    };
+    (deint + panel).max(filters)
+}
+
 /// Computes one `M`-filter × [`PANEL`]-position output tile at `j0`,
 /// streaming tap runs directly from the sample (stride 1) or the
 /// residue-deinterleaved buffer. `M` is a compile-time filter-block

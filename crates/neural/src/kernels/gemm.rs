@@ -28,14 +28,21 @@ const NR: usize = 16;
 /// `[cols][rows]` (i.e. `out[k * rows + u] = w[u * cols + k]`), the
 /// layout the k-major kernels stream.
 pub(crate) fn pack_transposed(rows: usize, cols: usize, w: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(w.len(), rows * cols);
     let mut out = vec![0.0f32; rows * cols];
+    pack_transposed_into(rows, cols, w, &mut out);
+    out
+}
+
+/// [`pack_transposed`] into a reused buffer (the training step repacks
+/// every batch).
+pub(crate) fn pack_transposed_into(rows: usize, cols: usize, w: &[f32], out: &mut Vec<f32>) {
+    debug_assert_eq!(w.len(), rows * cols);
+    out.resize(rows * cols, 0.0);
     for u in 0..rows {
         for k in 0..cols {
             out[k * rows + u] = w[u * cols + k];
         }
     }
-    out
 }
 
 /// `y_row(r) = bias + x_row(r) · wt` for `rows` rows.
@@ -78,8 +85,8 @@ pub(crate) fn gemm_bias(
 
 /// Like [`gemm_bias`] but accumulates into the existing contents of `y`
 /// instead of initializing from a bias vector (used for the recurrent
-/// `U·h` term that stacks onto `W·x + b`, and by conv's im2col GEMM
-/// after a bias row-fill).
+/// `U·h` term that stacks onto `W·x + b`, and by the training backward
+/// pass for weight and input gradients).
 ///
 /// Panic-free by construction (codegen-audited `kernel-no-panic`): the
 /// slice guards that were previously panic edges now bail out of the
@@ -89,6 +96,33 @@ pub(crate) fn gemm_bias(
 #[allow(clippy::too_many_arguments)]
 #[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
 pub(crate) fn gemm_acc(
+    rows: usize,
+    k_len: usize,
+    n: usize,
+    x: &[f32],
+    x_stride: usize,
+    wt: &[f32],
+    y: &mut [f32],
+    y_stride: usize,
+    y_offset: usize,
+) {
+    // lint: hot
+    gemm_acc_inline(rows, k_len, n, x, x_stride, wt, y, y_stride, y_offset);
+}
+
+/// The body of [`gemm_acc`], inlined into the backward kernels of
+/// [`super::backward`] so their audited symbols carry the FMA loops
+/// themselves.
+///
+/// Every output row is computed the same way whatever its position in
+/// the batch: full [`NR`]-wide column tiles accumulate from zero in
+/// registers and add onto `y` once, whether the row sits in a 4-row
+/// tile or in the row tail. A sample's output therefore does not depend
+/// on the batch size or on its row index (the training forward pass
+/// relies on this row invariance).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn gemm_acc_inline(
     rows: usize,
     k_len: usize,
     n: usize,
@@ -175,8 +209,9 @@ pub(crate) fn gemm_acc(
         r += MR;
     }
     while r < rows {
-        // Row tail (< MR rows): full-width k-major axpy, contiguous
-        // inner loop over all n output units.
+        // Row tail (< MR rows): one-row register tiles over the main
+        // columns, the same arithmetic as one row of the 4-row tile,
+        // then the k-major axpy over the column tail.
         let Some(x0) = row_of(x, r, x_stride, k_len) else {
             return;
         };
@@ -184,9 +219,31 @@ pub(crate) fn gemm_acc(
         let Some(yrow) = y.get_mut(base..).and_then(|s| s.get_mut(..n)) else {
             return;
         };
-        for (wrow, &xv) in wt.chunks_exact(n).zip(x0) {
-            for (a, &wv) in yrow.iter_mut().zip(wrow) {
-                *a = xv.mul_add(wv, *a);
+        let mut j = 0usize;
+        while j < n_main {
+            let mut acc = [0.0f32; NR];
+            for (wrow, &xv) in wt.chunks_exact(n).zip(x0) {
+                let Some(wv) = wrow.get(j..).and_then(|s| s.get(..NR)) else {
+                    return;
+                };
+                for (a, &w) in acc.iter_mut().zip(wv) {
+                    *a = xv.mul_add(w, *a);
+                }
+            }
+            let Some(ytile) = yrow.get_mut(j..).and_then(|s| s.get_mut(..NR)) else {
+                return;
+            };
+            for (yy, &a) in ytile.iter_mut().zip(&acc) {
+                *yy += a;
+            }
+            j += NR;
+        }
+        if j < n {
+            let ytail = yrow.get_mut(j..).unwrap_or(&mut []);
+            for (wrow, &xv) in wt.chunks_exact(n).zip(x0) {
+                for (yv, &wv) in ytail.iter_mut().zip(wrow.get(j..).unwrap_or(&[])) {
+                    *yv = xv.mul_add(wv, *yv);
+                }
             }
         }
         r += 1;

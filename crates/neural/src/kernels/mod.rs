@@ -1,4 +1,15 @@
-//! Cache-blocked batched inference kernels for [`crate::plan::FrozenPlan`].
+//! Cache-blocked batched kernels for inference
+//! ([`crate::plan::FrozenPlan`]) and for training
+//! ([`crate::Network::train_batch`]).
+//!
+//! The serving path runs whole compiled plans through [`BatchKernel`].
+//! The training path reuses the same forward kernels layer by layer —
+//! `Dense` through `gemm::gemm_bias` plus `act::apply_fast`, `Conv1d`
+//! through `conv::conv1d`, with weights repacked once per mini-batch —
+//! and computes weight and input gradients with the GEMM on transposed
+//! operands (`backward`). Every kernel computes each batch row the same
+//! way wherever it sits in the batch, so a row's result does not depend
+//! on the batch size (DESIGN.md §15).
 //!
 //! The scalar reference path in `plan.rs` replicates each layer's
 //! training-time arithmetic operation-for-operation, which makes it
@@ -23,6 +34,7 @@
 //! version.
 
 pub(crate) mod act;
+pub(crate) mod backward;
 pub(crate) mod conv;
 pub(crate) mod gemm;
 pub(crate) mod pool;
@@ -118,22 +130,14 @@ impl ScratchDims {
                     out_len,
                     ..
                 } => {
-                    // Deinterleave region (strided convs only), plus a
-                    // zero-padded `[k_len][PANEL]` pack panel for
-                    // layers narrower than a tile; `max(filters)`: the
-                    // channelwise-softmax finish reuses `col` as its
-                    // per-position gather buffer.
-                    let deint = if *stride > 1 {
-                        in_channels * stride * in_len.div_ceil(*stride)
-                    } else {
-                        0
-                    };
-                    let panel = if *out_len < conv::PANEL {
-                        in_channels * kernel * conv::PANEL
-                    } else {
-                        0
-                    };
-                    dims.col_single = dims.col_single.max((deint + panel).max(*filters));
+                    dims.col_single = dims.col_single.max(conv::conv1d_col_len(
+                        *in_channels,
+                        *in_len,
+                        *filters,
+                        *kernel,
+                        *stride,
+                        *out_len,
+                    ));
                 }
                 BatchKernel::Local1d {
                     in_channels, kernel, ..

@@ -3,6 +3,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::init::Init;
+use crate::kernels::{backward, conv};
 use crate::layers::{conv_output_len, import_into, Layer, LayerSummary};
 use crate::{Activation, NeuralError};
 
@@ -28,6 +29,14 @@ pub struct Conv1d {
     grad_bias: Vec<f32>,
     cached_input: Vec<f32>,
     cached_output: Vec<f32>,
+    /// Weights in residue sweep order for `kernels::conv::conv1d`,
+    /// repacked every batch.
+    packed: Vec<f32>,
+    /// Conv scratch for the batched forward, then the im2col block of
+    /// the batched backward.
+    col: Vec<f32>,
+    /// `[out_len][filters]` scratch for the batched backward.
+    dzt: Vec<f32>,
 }
 
 impl Conv1d {
@@ -69,6 +78,9 @@ impl Conv1d {
             grad_bias: vec![0.0; filters],
             cached_input: Vec::new(),
             cached_output: Vec::new(),
+            packed: Vec::new(),
+            col: Vec::new(),
+            dzt: Vec::new(),
         })
     }
 
@@ -196,6 +208,94 @@ impl Layer for Conv1d {
             }
         }
         grad_in
+    }
+
+    fn forward_batch(&mut self, rows: usize, input: &[f32], output: &mut [f32], _training: bool) {
+        let (ic, len, f, k, s, ol) = (
+            self.in_channels,
+            self.in_len,
+            self.filters,
+            self.kernel,
+            self.stride,
+            self.out_len,
+        );
+        self.packed = conv::permute_sweep_order(f, ic, k, s, &self.weights);
+        let col_len = conv::conv1d_col_len(ic, len, f, k, s, ol);
+        if self.col.len() < col_len {
+            self.col.resize(col_len, 0.0);
+        }
+        conv::conv1d(
+            rows,
+            ic,
+            len,
+            f,
+            k,
+            s,
+            ol,
+            self.activation,
+            &self.packed,
+            &self.bias,
+            input,
+            output,
+            &mut self.col,
+        );
+    }
+
+    fn backward_batch(
+        &mut self,
+        rows: usize,
+        input: &[f32],
+        output: &[f32],
+        grad_output: &mut [f32],
+        grad_input: Option<&mut [f32]>,
+    ) {
+        let (f, ol) = (self.filters, self.out_len);
+        let n = rows * f * ol;
+        if self.activation == Activation::Softmax {
+            // Each position's cross-filter vector is one softmax group.
+            let mut y = vec![0.0f32; f];
+            let mut g = vec![0.0f32; f];
+            for (ys, gs) in output[..n]
+                .chunks_exact(f * ol)
+                .zip(grad_output[..n].chunks_exact_mut(f * ol))
+            {
+                for op in 0..ol {
+                    for c in 0..f {
+                        y[c] = ys[c * ol + op];
+                        g[c] = gs[c * ol + op];
+                    }
+                    self.activation.backward(&y, &mut g, f);
+                    for c in 0..f {
+                        gs[c * ol + op] = g[c];
+                    }
+                }
+            }
+        } else {
+            self.activation
+                .backward(&output[..n], &mut grad_output[..n], 1);
+        }
+        let k_len = self.in_channels * self.kernel;
+        if self.col.len() < ol * k_len {
+            self.col.resize(ol * k_len, 0.0);
+        }
+        self.dzt.resize(ol * f, 0.0);
+        backward::conv1d_backward(
+            rows,
+            self.in_channels,
+            self.in_len,
+            f,
+            self.kernel,
+            self.stride,
+            ol,
+            input,
+            grad_output,
+            &self.weights,
+            &mut self.col,
+            &mut self.dzt,
+            &mut self.grad_weights,
+            &mut self.grad_bias,
+            grad_input.unwrap_or_default(),
+        );
     }
 
     fn param_count(&self) -> usize {

@@ -3,6 +3,7 @@
 use rand_chacha::ChaCha8Rng;
 
 use crate::init::Init;
+use crate::kernels::{act, backward, gemm};
 use crate::layers::{import_into, Layer, LayerSummary};
 use crate::{Activation, NeuralError};
 
@@ -20,6 +21,10 @@ pub struct Dense {
     grad_bias: Vec<f32>,
     cached_input: Vec<f32>,
     cached_output: Vec<f32>,
+    /// `[input_len][units]` transposed weights, repacked every batch.
+    packed: Vec<f32>,
+    /// `[units][rows]` scratch for the batched backward.
+    dzt: Vec<f32>,
 }
 
 impl Dense {
@@ -52,6 +57,8 @@ impl Dense {
             grad_bias: vec![0.0; units],
             cached_input: Vec::new(),
             cached_output: Vec::new(),
+            packed: Vec::new(),
+            dzt: Vec::new(),
         })
     }
 
@@ -120,6 +127,50 @@ impl Layer for Dense {
             }
         }
         grad_in
+    }
+
+    fn forward_batch(&mut self, rows: usize, input: &[f32], output: &mut [f32], _training: bool) {
+        let (k_len, n) = (self.input_len, self.units);
+        gemm::pack_transposed_into(n, k_len, &self.weights, &mut self.packed);
+        gemm::gemm_bias(
+            rows,
+            k_len,
+            n,
+            input,
+            k_len,
+            &self.packed,
+            &self.bias,
+            output,
+            n,
+            0,
+        );
+        act::apply_fast(self.activation, &mut output[..rows * n], n);
+    }
+
+    fn backward_batch(
+        &mut self,
+        rows: usize,
+        input: &[f32],
+        output: &[f32],
+        grad_output: &mut [f32],
+        grad_input: Option<&mut [f32]>,
+    ) {
+        let n = rows * self.units;
+        self.activation
+            .backward(&output[..n], &mut grad_output[..n], self.units);
+        self.dzt.resize(n, 0.0);
+        backward::dense_backward(
+            rows,
+            self.input_len,
+            self.units,
+            input,
+            grad_output,
+            &self.weights,
+            &mut self.dzt,
+            &mut self.grad_weights,
+            &mut self.grad_bias,
+            grad_input.unwrap_or_default(),
+        );
     }
 
     fn param_count(&self) -> usize {

@@ -15,6 +15,8 @@ pub struct Dropout {
     rate: f32,
     rng: ChaCha8Rng,
     cached_mask: Vec<f32>,
+    /// `[rows][len]` masks of the last batched forward.
+    batch_mask: Vec<f32>,
 }
 
 impl Dropout {
@@ -38,6 +40,7 @@ impl Dropout {
             rate,
             rng: ChaCha8Rng::seed_from_u64(seed),
             cached_mask: Vec::new(),
+            batch_mask: Vec::new(),
         })
     }
 }
@@ -90,6 +93,27 @@ impl Layer for Dropout {
             .zip(&self.cached_mask)
             .map(|(g, m)| g * m)
             .collect()
+    }
+
+    /// Runs the scalar forward on each row in order, so the masks come
+    /// from the RNG stream exactly as in scalar training, and keeps
+    /// every row's mask for [`Layer::restore_cache`].
+    fn forward_batch(&mut self, rows: usize, input: &[f32], output: &mut [f32], training: bool) {
+        self.batch_mask.clear();
+        let rows_in = input.chunks_exact(self.len).take(rows);
+        for (x, y) in rows_in.zip(output.chunks_exact_mut(self.len)) {
+            y.copy_from_slice(&self.forward(x, training));
+            self.batch_mask.extend_from_slice(&self.cached_mask);
+        }
+    }
+
+    fn restore_cache(&mut self, row: usize, _input: &[f32], _output: &[f32]) -> bool {
+        let Some(mask) = self.batch_mask.get(row * self.len..(row + 1) * self.len) else {
+            return false;
+        };
+        self.cached_mask.clear();
+        self.cached_mask.extend_from_slice(mask);
+        true
     }
 
     fn summary(&self) -> LayerSummary {

@@ -195,6 +195,14 @@ impl Layer for LocallyConnected1d {
         grad_in
     }
 
+    fn restore_cache(&mut self, _row: usize, input: &[f32], output: &[f32]) -> bool {
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(input);
+        self.cached_output.clear();
+        self.cached_output.extend_from_slice(output);
+        true
+    }
+
     fn param_count(&self) -> usize {
         self.weights.len() + self.bias.len()
     }

@@ -36,6 +36,7 @@ pub struct Lstm {
     cached_gates: Vec<f32>,  // post-nonlinearity gates, t * 4*units
     cached_cell: Vec<f32>,   // c_t, t * units
     cached_hidden: Vec<f32>, // h_t, t * units
+    batch_cache: Vec<f32>,   // per row of the last batched forward: gates, cell, hidden
 }
 
 impl Lstm {
@@ -78,6 +79,7 @@ impl Lstm {
             cached_gates: Vec::new(),
             cached_cell: Vec::new(),
             cached_hidden: Vec::new(),
+            batch_cache: Vec::new(),
         })
     }
 
@@ -228,6 +230,40 @@ impl Layer for Lstm {
             dh = dh_prev;
         }
         grad_in
+    }
+
+    /// Runs the scalar forward on each row and keeps every row's gate,
+    /// cell and hidden states for [`Layer::restore_cache`], so the
+    /// batched backward needs no second forward pass.
+    fn forward_batch(&mut self, rows: usize, input: &[f32], output: &mut [f32], training: bool) {
+        self.batch_cache.clear();
+        let rows_in = input.chunks_exact(self.input_len()).take(rows);
+        for (x, y) in rows_in.zip(output.chunks_exact_mut(self.units)) {
+            y.copy_from_slice(&self.forward(x, training));
+            self.batch_cache.extend_from_slice(&self.cached_gates);
+            self.batch_cache.extend_from_slice(&self.cached_cell);
+            self.batch_cache.extend_from_slice(&self.cached_hidden);
+        }
+    }
+
+    fn restore_cache(&mut self, row: usize, input: &[f32], _output: &[f32]) -> bool {
+        let states = self.timesteps * self.units;
+        let per_row = 6 * states;
+        let Some(saved) = self.batch_cache.get(row * per_row..(row + 1) * per_row) else {
+            return false;
+        };
+        let (gates, rest) = saved.split_at(4 * states);
+        let (cell, hidden) = rest.split_at(states);
+        for (dst, src) in [
+            (&mut self.cached_input, input),
+            (&mut self.cached_gates, gates),
+            (&mut self.cached_cell, cell),
+            (&mut self.cached_hidden, hidden),
+        ] {
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+        true
     }
 
     fn param_count(&self) -> usize {

@@ -1,10 +1,20 @@
 //! Network layers.
 //!
-//! Every layer processes one sample at a time on flat `f32` slices; the
-//! shape semantics (channels × length for convolutional layers, timesteps
-//! × features for the LSTM) are documented per layer. Batching is done by
-//! the trainer, which accumulates gradients across the samples of a batch
-//! before an optimizer step.
+//! Every layer works on flat `f32` slices; the shape semantics (channels
+//! × length for convolutional layers, timesteps × features for the LSTM)
+//! are documented per layer. Each layer has two paths:
+//!
+//! * the scalar one-sample [`Layer::forward`]/[`Layer::backward`], which
+//!   serves [`crate::Network::predict`] and is the differential oracle;
+//! * the batched [`Layer::forward_batch`]/[`Layer::backward_batch`] over
+//!   a contiguous `[rows][width]` mini-batch, which training and
+//!   validation run. [`Dense`] and [`Conv1d`] implement it on the
+//!   `crate::kernels` GEMM and conv kernels; every other layer falls back
+//!   to its scalar methods, one row at a time, through the trait's
+//!   default implementation.
+//!
+//! Gradients accumulate across the samples of a batch until the
+//! trainer's optimizer step.
 
 mod conv1d;
 mod dense;
@@ -44,7 +54,8 @@ pub struct LayerSummary {
 }
 
 /// A neural-network layer: single-sample forward/backward with internal
-/// caching and gradient accumulation.
+/// caching, a batched forward/backward for training, and gradient
+/// accumulation.
 ///
 /// Contract:
 /// * `forward` caches whatever `backward` needs; calling `backward`
@@ -81,6 +92,64 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Panics if `grad_output.len() != self.output_len()` or no forward
     /// pass has been run.
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32>;
+
+    /// Forward pass over a mini-batch: `input` is `[rows][input_len]`
+    /// and `output` receives `[rows][output_len]`. The network keeps
+    /// both buffers for [`Layer::backward_batch`], so a batched layer
+    /// caches nothing itself. Row `r` of the output depends on row `r`
+    /// of the input only, bit for bit, whatever `rows` is (a training
+    /// dropout layer draws its masks in row order).
+    ///
+    /// The default runs the scalar [`Layer::forward`] on each row in
+    /// order, so a layer's RNG stream advances as in scalar training.
+    fn forward_batch(&mut self, rows: usize, input: &[f32], output: &mut [f32], training: bool) {
+        let (n_in, n_out) = (self.input_len(), self.output_len());
+        let rows_in = input.chunks_exact(n_in).take(rows);
+        for (x, y) in rows_in.zip(output.chunks_exact_mut(n_out)) {
+            y.copy_from_slice(&self.forward(x, training));
+        }
+    }
+
+    /// Backward pass through the most recent [`Layer::forward_batch`]:
+    /// `input` and `output` are that call's buffers, `grad_output` is
+    /// the gradient w.r.t. `output` (the layer may overwrite it), and
+    /// `grad_input`, when given, receives the `[rows][input_len]`
+    /// gradient w.r.t. `input`. Parameter gradients accumulate, as in
+    /// [`Layer::backward`].
+    ///
+    /// The default runs the scalar [`Layer::backward`] on each row,
+    /// after [`Layer::restore_cache`] has put back that row's cache —
+    /// or, for a layer that cannot restore it, after re-running the
+    /// scalar forward on the row.
+    fn backward_batch(
+        &mut self,
+        rows: usize,
+        input: &[f32],
+        output: &[f32],
+        grad_output: &mut [f32],
+        mut grad_input: Option<&mut [f32]>,
+    ) {
+        let (n_in, n_out) = (self.input_len(), self.output_len());
+        for r in 0..rows {
+            let x = &input[r * n_in..][..n_in];
+            if !self.restore_cache(r, x, &output[r * n_out..][..n_out]) {
+                self.forward(x, true);
+            }
+            let g = self.backward(&grad_output[r * n_out..][..n_out]);
+            if let Some(gi) = grad_input.as_deref_mut() {
+                gi[r * n_in..][..n_in].copy_from_slice(&g);
+            }
+        }
+    }
+
+    /// Restores the cache the scalar [`Layer::forward`] left for row
+    /// `row` of the last [`Layer::forward_batch`], given that row's
+    /// `input` and `output`, for the default [`Layer::backward_batch`].
+    /// Returns `false` (the default) when the layer cannot, so the row
+    /// must be recomputed.
+    fn restore_cache(&mut self, _row: usize, _input: &[f32], _output: &[f32]) -> bool {
+        false
+    }
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {

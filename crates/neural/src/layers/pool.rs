@@ -163,6 +163,11 @@ impl Layer for AvgPool1d {
         out
     }
 
+    fn restore_cache(&mut self, _row: usize, _input: &[f32], _output: &[f32]) -> bool {
+        self.ran_forward = true;
+        true
+    }
+
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "avgpool grad length");
         assert!(self.ran_forward, "backward called before forward");

@@ -54,6 +54,10 @@ impl Layer for Flatten {
         grad_output.to_vec()
     }
 
+    fn restore_cache(&mut self, _row: usize, _input: &[f32], _output: &[f32]) -> bool {
+        true // stateless
+    }
+
     fn summary(&self) -> LayerSummary {
         LayerSummary {
             kind: "Flatten".into(),
@@ -111,6 +115,10 @@ impl Layer for Reshape {
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "reshape grad length");
         grad_output.to_vec()
+    }
+
+    fn restore_cache(&mut self, _row: usize, _input: &[f32], _output: &[f32]) -> bool {
+        true // stateless
     }
 
     fn summary(&self) -> LayerSummary {

@@ -29,12 +29,29 @@ use crate::{Loss, NeuralError};
 #[derive(Debug)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
+    batch: BatchBuffers,
+}
+
+/// Reused buffers of the batched training path.
+#[derive(Debug, Default)]
+struct BatchBuffers {
+    /// `acts[i]` is layer `i`'s `[rows][output_len]` output.
+    acts: Vec<Vec<f32>>,
+    /// Gradient w.r.t. the output of the layer being back-propagated.
+    grad: Vec<f32>,
+    /// Gradient w.r.t. its input.
+    grad_next: Vec<f32>,
+    /// Per-row loss values of the last [`Network::train_batch`].
+    losses: Vec<f32>,
 }
 
 impl Network {
     /// An empty network.
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self {
+            layers: Vec::new(),
+            batch: BatchBuffers::default(),
+        }
     }
 
     /// Appends a layer.
@@ -135,6 +152,99 @@ impl Network {
         value
     }
 
+    /// Batched forward pass over `inputs`, a contiguous `[rows][input_len]`
+    /// block, through each layer's [`Layer::forward_batch`]. Returns the
+    /// `[rows][output_len]` outputs; with `training` set, dropout is on
+    /// and every layer's output is kept for [`Network::train_batch`].
+    ///
+    /// Row `r` of the result depends only on row `r` of `inputs`, bit
+    /// for bit, whatever the number of rows (in training mode, dropout
+    /// masks still follow the row order). Dense and conv layers run
+    /// the `crate::kernels` fast path, so the result agrees with
+    /// [`Network::forward`] within the kernels' tolerance, not bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` is not a multiple of the input length or
+    /// the network is empty.
+    pub fn forward_batch(&mut self, inputs: &[f32], training: bool) -> &[f32] {
+        let width = self.input_len();
+        assert!(
+            inputs.len().is_multiple_of(width),
+            "batch of {} values is not a whole number of {width}-wide rows",
+            inputs.len()
+        );
+        let rows = inputs.len() / width;
+        let Self { layers, batch } = self;
+        batch.acts.resize_with(layers.len(), Vec::new);
+        let mut tracker = crate::checked::FiniteTracker::new(inputs);
+        for (i, layer) in layers.iter_mut().enumerate() {
+            let (done, rest) = batch.acts.split_at_mut(i);
+            let x = done.last().map_or(inputs, Vec::as_slice);
+            let y = &mut rest[0];
+            y.resize(rows * layer.output_len(), 0.0);
+            layer.forward_batch(rows, x, y, training);
+            tracker.check("Network::forward_batch", i, y);
+        }
+        &batch.acts[layers.len() - 1]
+    }
+
+    /// One batched training step over a mini-batch: `inputs` is
+    /// `[rows][input_len]` and `targets` `[rows][output_len]`. Runs the
+    /// training forward, the loss, and each layer's
+    /// [`Layer::backward_batch`], accumulating parameter gradients until
+    /// [`Network::zero_grads`]. Returns the per-row loss values.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Network::forward_batch`], and if `targets` does not hold
+    /// one output row per input row.
+    pub fn train_batch(&mut self, inputs: &[f32], targets: &[f32], loss: Loss) -> &[f32] {
+        {
+            let _span = obs::span!("train.forward");
+            self.forward_batch(inputs, true);
+        }
+        let _span = obs::span!("train.backward");
+        let rows = inputs.len() / self.input_len();
+        let out_w = self.output_len();
+        assert_eq!(targets.len(), rows * out_w, "one target row per input row");
+        let Self { layers, batch } = self;
+        let BatchBuffers {
+            acts,
+            grad,
+            grad_next,
+            losses,
+        } = batch;
+        losses.clear();
+        grad.clear();
+        let predictions = &acts[layers.len() - 1];
+        for (p, t) in predictions
+            .chunks_exact(out_w)
+            .zip(targets.chunks_exact(out_w))
+        {
+            losses.push(loss.value(p, t));
+            grad.extend_from_slice(&loss.gradient(p, t));
+        }
+        // Layers below the first one with parameters need no gradient.
+        let first = layers
+            .iter()
+            .position(|l| l.param_count() > 0)
+            .unwrap_or(layers.len());
+        for i in (first..layers.len()).rev() {
+            let x = if i == 0 { inputs } else { &acts[i - 1] };
+            let grad_input = if i > first {
+                grad_next.resize(rows * layers[i].input_len(), 0.0);
+                Some(grad_next.as_mut_slice())
+            } else {
+                None
+            };
+            layers[i].backward_batch(rows, x, &acts[i], grad, grad_input);
+            std::mem::swap(grad, grad_next);
+        }
+        losses
+    }
+
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
@@ -142,8 +252,8 @@ impl Network {
         }
     }
 
-    /// Applies accumulated gradients via `optimizer`, scaling them by
-    /// `1 / batch_size` first.
+    /// Applies accumulated gradients via `optimizer`, scaling them in
+    /// place by `1 / batch_size` first.
     ///
     /// # Panics
     ///
@@ -154,8 +264,10 @@ impl Network {
         let mut slot = 0;
         for layer in &mut self.layers {
             layer.visit_params(&mut |params, grads| {
-                let scaled: Vec<f32> = grads.iter().map(|g| g * scale).collect();
-                optimizer.step(slot, params, &scaled);
+                for g in grads.iter_mut() {
+                    *g *= scale;
+                }
+                optimizer.step(slot, params, grads);
                 slot += 1;
             });
         }

@@ -114,25 +114,45 @@ impl Dataset {
         ))
     }
 
-    /// A copy with samples shuffled by `seed`.
-    pub fn shuffled(&self, seed: u64) -> Dataset {
+    /// The sample order of one epoch: `0..len`, shuffled by `seed` when
+    /// `shuffle` is set.
+    pub(crate) fn epoch_order(&self, shuffle: bool, seed: u64) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
-        Dataset {
-            inputs: order.iter().map(|&i| self.inputs[i].clone()).collect(),
-            targets: order.iter().map(|&i| self.targets[i].clone()).collect(),
+        if shuffle {
+            order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+        }
+        order
+    }
+
+    /// Copies the samples at `indices` into `batch` as contiguous
+    /// `[rows][width]` blocks.
+    pub(crate) fn gather(&self, indices: &[usize], batch: &mut Batch) {
+        batch.inputs.clear();
+        batch.targets.clear();
+        for &i in indices {
+            batch.inputs.extend_from_slice(&self.inputs[i]);
+            batch.targets.extend_from_slice(&self.targets[i]);
         }
     }
 
-    /// Mean loss of `network` over the dataset (evaluation mode).
+    /// Mean loss of `network` over the dataset (evaluation mode), through
+    /// the batched forward [`Network::forward_batch`] in chunks of 32
+    /// rows. Row invariance makes the result independent of the chunking.
     pub fn evaluate(&self, network: &mut Network, loss: Loss) -> f32 {
-        let total: f32 = self
-            .inputs
-            .iter()
-            .zip(&self.targets)
-            .map(|(x, t)| loss.value(&network.predict(x), t))
-            .sum();
+        let width = self.target_width();
+        let order: Vec<usize> = (0..self.len()).collect();
+        let mut batch = Batch::default();
+        let mut total = 0.0f32;
+        for chunk in order.chunks(EVAL_ROWS) {
+            self.gather(chunk, &mut batch);
+            let outputs = network.forward_batch(&batch.inputs, false);
+            for (y, t) in outputs
+                .chunks_exact(width)
+                .zip(batch.targets.chunks_exact(width))
+            {
+                total += loss.value(y, t);
+            }
+        }
         total / self.len() as f32
     }
 
@@ -152,6 +172,17 @@ impl Dataset {
         }
         acc
     }
+}
+
+/// Rows per [`Network::forward_batch`] call in [`Dataset::evaluate`].
+const EVAL_ROWS: usize = 32;
+
+/// A mini-batch gathered from a [`Dataset`]: inputs and targets as
+/// contiguous `[rows][width]` blocks, reused from batch to batch.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    pub(crate) inputs: Vec<f32>,
+    pub(crate) targets: Vec<f32>,
 }
 
 /// Training configuration.
@@ -282,36 +313,37 @@ impl Trainer {
             }),
         );
 
+        let mut batch = Batch::default();
         for epoch in 0..self.config.epochs {
             let _epoch_span = obs::span!("train.epoch");
-            let data = if self.config.shuffle {
-                train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-            } else {
-                train.clone()
-            };
+            let order = train.epoch_order(
+                self.config.shuffle,
+                self.config.seed.wrapping_add(epoch as u64),
+            );
             let mut epoch_loss = 0.0f64;
-            let mut processed = 0usize;
-            while processed < data.len() {
+            for indices in order.chunks(self.config.batch_size.max(1)) {
                 let _batch_span = obs::span!("train.batch");
-                let end = (processed + self.config.batch_size).min(data.len());
+                train.gather(indices, &mut batch);
                 network.zero_grads();
-                for i in processed..end {
-                    let value =
-                        network.train_step(&data.inputs[i], &data.targets[i], self.config.loss);
+                let losses = network.train_batch(&batch.inputs, &batch.targets, self.config.loss);
+                for &value in losses {
                     if !value.is_finite() {
                         return Err(NeuralError::Diverged { epoch });
                     }
                     epoch_loss += value as f64;
                 }
-                network.apply_gradients(optimizer.as_mut(), end - processed);
-                processed = end;
+                let _optimizer_span = obs::span!("train.optimizer");
+                network.apply_gradients(optimizer.as_mut(), indices.len());
             }
-            let mean_loss = (epoch_loss / data.len() as f64) as f32;
+            let mean_loss = (epoch_loss / train.len() as f64) as f32;
             history.train_loss.push(mean_loss);
             obs::gauge_set("train.loss", f64::from(mean_loss));
 
             if let Some(val) = validation {
-                let v = val.evaluate(network, self.config.loss);
+                let v = {
+                    let _validate_span = obs::span!("train.validate");
+                    val.evaluate(network, self.config.loss)
+                };
                 if !v.is_finite() {
                     return Err(NeuralError::Diverged { epoch });
                 }
@@ -395,14 +427,14 @@ mod tests {
     #[test]
     fn shuffle_is_permutation() {
         let data = linear_dataset(50);
-        let shuffled = data.shuffled(4);
-        assert_eq!(shuffled.len(), data.len());
-        let mut original: Vec<_> = data.inputs().to_vec();
-        let mut after: Vec<_> = shuffled.inputs().to_vec();
-        original.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        after.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(original, after);
-        assert_ne!(data.inputs(), shuffled.inputs());
+        let identity: Vec<usize> = (0..50).collect();
+        assert_eq!(data.epoch_order(false, 4), identity);
+        let shuffled = data.epoch_order(true, 4);
+        assert_eq!(shuffled, data.epoch_order(true, 4));
+        assert_ne!(shuffled, identity);
+        let mut sorted = shuffled;
+        sorted.sort_unstable();
+        assert_eq!(sorted, identity);
     }
 
     #[test]
